@@ -16,9 +16,12 @@
 #   4. fuzz seed smoke             every Fuzz* target replayed over its
 #                                  checked-in seed corpus plus a short live
 #                                  fuzzing burst (quality + predictor
-#                                  adversarial-input hardening, and the
-#                                  /v1/invoke handler fuzz)
-#   5. bench smoke                 the hot-path benchmark suite at
+#                                  adversarial-input hardening, the
+#                                  /v1/invoke handler fuzz, and the
+#                                  /v1/invoke codec held byte for byte to
+#                                  encoding/json)
+#   5. bench smoke                 the hot-path benchmark suite and the
+#                                  /v1/invoke codec benchmark at
 #                                  -benchtime=100x -benchmem: catches batch
 #                                  kernels that stop compiling, panic, or
 #                                  start allocating, without paying for a
@@ -101,9 +104,11 @@ go test -run='^$' -fuzz='^FuzzElementError$' -fuzztime=10s ./internal/quality/
 go test -run='^$' -fuzz='^FuzzTreePredictError$' -fuzztime=10s ./internal/predictor/
 go test -run='^$' -fuzz='^FuzzParseDirective$' -fuzztime=10s ./internal/analysis/
 go test -run='^$' -fuzz='^FuzzHandleInvoke$' -fuzztime=10s ./internal/server/
+go test -run='^$' -fuzz='^FuzzInvokeCodec$' -fuzztime=10s ./internal/server/
 
 echo "==> bench smoke (-benchtime=100x -benchmem)"
 go test -run '^$' -bench 'Forward|Predict|Stream' -benchtime=100x -benchmem ./internal/bench/
+go test -run '^$' -bench InvokeCodec -benchtime=100x -benchmem ./internal/server/
 
 echo "==> /metrics exposition smoke (golden render + live scrape parse)"
 go test -run 'TestWritePrometheus|TestValidateExposition' -count=1 ./internal/obs/

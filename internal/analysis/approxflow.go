@@ -317,6 +317,18 @@ func computeTaintSummary(m *Module, fi *FuncInfo, sums map[*types.Func]*taintSum
 	for idx := range trB.paramSinks {
 		s.sinksParams[idx] = true
 	}
+	if trB.derivedSink {
+		// A value derived from some parameter (an encoded buffer, say)
+		// reached a sink: re-run with one parameter tainted at a time to
+		// learn which parameters it came from.
+		for o, idx := range trB.params {
+			tr := newTaintRunner(m, fi, sums, false)
+			tr.runTainting(taintState{o: taintTainted})
+			if tr.derivedSink || len(tr.paramSinks) > 0 {
+				s.sinksParams[idx] = true
+			}
+		}
+	}
 	return s
 }
 
@@ -335,7 +347,10 @@ type taintRunner struct {
 
 	retTaint   bool
 	paramSinks map[int]bool
-	findings   map[token.Pos]string
+	// derivedSink: in summary mode, a tainted value whose root is not a
+	// parameter (but may derive from one) reached a sink.
+	derivedSink bool
+	findings    map[token.Pos]string
 }
 
 func newTaintRunner(m *Module, fi *FuncInfo, sums map[*types.Func]*taintSummary, report bool) *taintRunner {
@@ -392,6 +407,11 @@ func (tr *taintRunner) run(taintParams bool) taintState {
 			entry[tr.recvObj] = taintTainted
 		}
 	}
+	return tr.runTainting(entry)
+}
+
+// runTainting is run from an explicit entry state.
+func (tr *taintRunner) runTainting(entry taintState) taintState {
 	transfer := func(b *cfgBlock, in taintState) taintState {
 		for _, n := range b.nodes {
 			tr.transferNode(n, in)
@@ -459,6 +479,9 @@ func (tr *taintRunner) sink(pos token.Pos, root types.Object, where string) {
 				return
 			}
 		}
+	}
+	if !tr.report {
+		tr.derivedSink = true
 	}
 	if _, dup := tr.findings[pos]; dup {
 		return

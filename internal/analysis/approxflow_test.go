@@ -151,6 +151,41 @@ func pipeline(in []float64, out chan result) {
 	expectDiags(t, diags, "approxflow", 1, "reaches a channel send")
 }
 
+// TestApproxFlowDerivedParamSink: a helper that encodes one parameter into
+// a local buffer and writes that buffer commits the parameter, so the
+// caller passing an unchecked value is the finding — and only for that
+// parameter, not the writer or the buffer beside it.
+func TestApproxFlowDerivedParamSink(t *testing.T) {
+	diags := runFixture(t, `package af
+
+import (
+	"net/http"
+	"strconv"
+)
+
+//rumba:approx
+func kernel(in []float64) []float64 { return in }
+
+func encode(b []byte, out []float64) []byte {
+	for _, v := range out {
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	}
+	return b
+}
+
+func reply(w http.ResponseWriter, buf []byte, out []float64) {
+	enc := encode(buf[:0], out)
+	_, _ = w.Write(enc)
+}
+
+func serve(w http.ResponseWriter, in []float64) {
+	reply(w, nil, in)
+	reply(w, nil, kernel(in))
+}
+`, AnalyzerApproxFlow)
+	expectDiags(t, diags, "approxflow", 1, "reaches af.reply (which commits it)")
+}
+
 // TestApproxFlowAllowSuppression: //rumba:allow approxflow acknowledges a
 // deliberate unchecked commit (the Checker-less deployment mode).
 func TestApproxFlowAllowSuppression(t *testing.T) {

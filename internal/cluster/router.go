@@ -241,27 +241,23 @@ func (rt *Router) Handler() http.Handler {
 func (rt *Router) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxForwardBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+		writeReadError(w, err)
 		return
 	}
-	var peek struct {
-		Tenant     string `json:"tenant"`
-		DeadlineMs int64  `json:"deadlineMs"`
-	}
-	if err := json.Unmarshal(body, &peek); err != nil {
+	tenant, deadlineMs, err := server.PeekInvoke(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	tenant := peek.Tenant
 	if tenant == "" {
 		tenant = "default"
 	}
 	ctx := r.Context()
-	if peek.DeadlineMs > 0 {
+	if deadlineMs > 0 {
 		// The request's own deadline bounds the whole forward, failover
 		// included: a client that gave up must not keep burning replicas.
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(peek.DeadlineMs)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMs)*time.Millisecond)
 		defer cancel()
 	}
 	rt.forward(ctx, w, tenant, http.MethodPost, "/v1/invoke", body, r.Header.Get("Content-Type"), r.Header.Get(trace.TraceparentHeader))
@@ -275,11 +271,24 @@ func (rt *Router) handleTenantScoped(w http.ResponseWriter, r *http.Request) {
 	if r.Body != nil {
 		var err error
 		if body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxForwardBytes)); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+			writeReadError(w, err)
 			return
 		}
 	}
 	rt.forward(r.Context(), w, tenant, r.Method, r.URL.Path, body, r.Header.Get("Content-Type"), r.Header.Get(trace.TraceparentHeader))
+}
+
+// writeReadError answers a request body that could not be read: 413 past
+// maxForwardBytes, so a client can tell an oversized batch from a broken
+// connection, 400 otherwise.
+func writeReadError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body larger than %d bytes", tooLarge.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 }
 
 // retryableStatus reports whether a node's response means "another replica

@@ -275,6 +275,68 @@ func TestRouterBadInvokeBody(t *testing.T) {
 	}
 }
 
+// TestTrailingBytesRejectedOnBothPaths: a body with non-space bytes after
+// the object is a 400 whether it goes through the router or straight to the
+// owning node (json.Decoder used to let the node accept what the router's
+// json.Unmarshal refused), while trailing white space is fine on both.
+func TestTrailingBytesRejectedOnBothPaths(t *testing.T) {
+	h, err := NewHarness(HarnessOptions{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	const body = `{"tenant":"acme","kernel":"synth","inputs":[[1,0,0]]}`
+	for _, path := range []struct{ name, url string }{
+		{"router", h.URL()},
+		{"node", h.Nodes[0].HTTP.URL},
+	} {
+		for _, tc := range []struct {
+			suffix string
+			status int
+		}{{" \n", http.StatusOK}, {" x", http.StatusBadRequest}, {"{}", http.StatusBadRequest}} {
+			status, decoded, _ := routerInvoke(t, path.url, body+tc.suffix)
+			if status != tc.status {
+				t.Fatalf("%s: body+%q = %d (%v), want %d", path.name, tc.suffix, status, decoded, tc.status)
+			}
+		}
+	}
+}
+
+// TestRouterBodyTooLarge: one byte past maxForwardBytes is a 413 on both the
+// invoke and the tenant-scoped routes, and nothing is forwarded.
+func TestRouterBodyTooLarge(t *testing.T) {
+	rt, fakes := newFakeCluster(t, 2, Options{})
+	hs := httptest.NewServer(rt.Handler())
+	defer hs.Close()
+	big := bytes.Repeat([]byte{' '}, maxForwardBytes+1)
+	for _, route := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/invoke"},
+		{http.MethodPut, "/v1/tenants/acme/state"},
+	} {
+		req, err := http.NewRequest(route.method, hs.URL+route.path, bytes.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var body struct {
+			Error string `json:"error"`
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(payload, &body) != nil || body.Error == "" {
+			t.Fatalf("%s %s with %d bytes = %d %q, want 413", route.method, route.path, len(big), resp.StatusCode, payload)
+		}
+	}
+	for name, f := range fakes {
+		if n := f.invokes.Load(); n != 0 {
+			t.Fatalf("node %s saw %d invokes of an oversized body", name, n)
+		}
+	}
+}
+
 func TestRouterTenantScopedForwarding(t *testing.T) {
 	rt, _ := newFakeCluster(t, 3, Options{})
 	hs := httptest.NewServer(rt.Handler())

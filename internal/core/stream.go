@@ -488,9 +488,11 @@ func (st *Stream) process(ctx context.Context, src inputSource) (<-chan StreamRe
 			case it, ok := <-merged:
 				if !ok {
 					// merged is closed only after every element was
-					// produced, so pending must be empty here;
-					// anything left is a bug.
-					if len(pending) != 0 {
+					// produced, so pending must be empty here unless
+					// a cancellation let a recovery worker drop its
+					// element (both this case and ctx.Done can be
+					// ready at once); anything else is a bug.
+					if len(pending) != 0 && ctx.Err() == nil {
 						panic(fmt.Sprintf("core: output merger lost ordering, %d stranded elements", len(pending)))
 					}
 					return

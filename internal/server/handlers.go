@@ -170,32 +170,29 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// invokeRequestPool recycles decoded request bodies: resetting Inputs to
-// length zero keeps both the outer slice and every row's capacity, and
-// encoding/json decodes into that existing capacity, so a warmed handler
-// parses a steady stream of same-shaped batches without reallocating the
-// input matrix on every request.
-var invokeRequestPool = sync.Pool{New: func() any { return new(InvokeRequest) }}
+// invokeRequestPool recycles the per-request codec state: the body buffer
+// (reused for the reply) and the flat input buffer whose sub-slices are the
+// Inputs rows, so a warmed handler parses a steady stream of batches without
+// allocating per row or per number.
+var invokeRequestPool = sync.Pool{New: func() any { return new(invokeCodec) }}
 
 func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	req := invokeRequestPool.Get().(*InvokeRequest)
-	// Zero the scalar fields but keep the Inputs capacity for the decoder.
-	*req = InvokeRequest{Inputs: req.Inputs[:0]}
-	// The pooled request may only be recycled when nothing can still read
+	c := invokeRequestPool.Get().(*invokeCodec)
+	// The pooled state may only be recycled when nothing can still read
 	// its rows: a cancelled pipeline's detection goroutine can briefly
 	// outlive ProcessSlice, so error paths after submission drop the
-	// request to the GC instead.
+	// codec (and its input buffer) to the GC instead.
 	recycle := true
 	defer func() {
 		if recycle {
-			invokeRequestPool.Put(req)
+			invokeRequestPool.Put(c)
 		}
 	}()
-	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	if err := json.NewDecoder(body).Decode(req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := c.decode(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength); err != nil {
+		writeBodyError(w, err)
 		return
 	}
+	req := &c.req
 	if req.Tenant == "" {
 		req.Tenant = "default"
 	}
@@ -294,7 +291,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		// the response says so (Degraded: true) and the client opted into
 		// approximation by calling this service at all.
 		//rumba:allow approxflow load shedding commits the approximate output, flagged Degraded
-		writeJSON(w, http.StatusOK, InvokeResponse{
+		writeInvoke(w, c, InvokeResponse{
 			Tenant:   req.Tenant,
 			Kernel:   req.Kernel,
 			Outputs:  outputs,
@@ -325,12 +322,12 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	resp := InvokeResponse{
 		Tenant:   req.Tenant,
 		Kernel:   req.Kernel,
-		Outputs:  make([][]float64, len(j.results)),
 		Elements: len(j.results),
 		Checker:  ts.checkerName,
 	}
-	for i, res := range j.results {
-		resp.Outputs[i] = res.Output
+	outs := c.outs[:0]
+	for _, res := range j.results {
+		outs = append(outs, res.Output)
 		if res.Fixed {
 			resp.Fixed++
 		}
@@ -343,7 +340,11 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		resp.Threshold = ts.tuner.Threshold
 	}
 	ts.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	resp.Outputs = outs
+	writeInvoke(w, c, resp)
+	// Drop the references to this request's outputs before c is pooled.
+	clear(outs)
+	c.outs = outs[:0]
 }
 
 // TenantHealth is the GET /v1/tenants/{id}/health reply: the quality-drift
@@ -409,6 +410,33 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(append(data, '\n'))
+}
+
+// writeInvoke writes a 200 /v1/invoke reply, encoded into c's buffer. A
+// non-finite output (a kernel that overflowed to ±Inf) is not representable
+// as JSON and becomes a 500, exactly as through writeJSON.
+func writeInvoke(w http.ResponseWriter, c *invokeCodec, resp InvokeResponse) {
+	out, err := appendResponse(c.buf[:0], &resp)
+	c.buf = out[:0]
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, errors.New("response not representable as JSON: "+err.Error()))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(out)
+}
+
+// writeBodyError answers a request body that could not be read or decoded:
+// 413 past the size limit, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body larger than %d bytes", tooLarge.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
